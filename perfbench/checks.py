@@ -161,3 +161,18 @@ def reference_mmap(trace, cache_pages: int, page_bytes: int,
                 writebacks += victim_dirty
             resident[target] = dirty
     return float(faults), float(writebacks)
+
+
+def check_mmap(outcome, workload, trace, result, config) -> None:
+    """mmap's major faults and writebacks must equal the reference's."""
+    page_bytes = 4096
+    faults, writebacks = reference_mmap(
+        trace, config.nvdimm.cacheable_bytes // page_bytes, page_bytes,
+        config.os_stack.readahead_pages)
+    extras = result.extras
+    outcome.expect(
+        (extras["major_faults"], extras["writebacks"])
+        == (faults, writebacks),
+        f"mmap {workload}: faults/writebacks "
+        f"{extras['major_faults']}/{extras['writebacks']} != "
+        f"reference {faults}/{writebacks}")

@@ -3,25 +3,22 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/figures.py [--runs 5] [--default-scale]
+    python3 perfbench/figures.py
 
 Prints, in order:
 
 1. the per-layer table of every workload (one traced run each, see
    ``layers.py``), with the tracing overhead and the layer coverage;
-2. the host spread: ``--runs`` untraced runs per workload, each
-   end-to-end metric's median and quartile spread;
-3. the simulated geometric-mean speedups over mmap on the fig16-cold
-   matrix (simulated time, not host time), at the benchmark's scale and,
-   with ``--default-scale``, at the library's default scale too (about a
-   minute more).
+2. the simulated speedups over mmap on the Fig. 16 matrix (simulated
+   time, not host time), at the fig16-cold scale and at the library's
+   default scale.
 
-Takes roughly ``(runs + 1) x 3 x 35`` seconds.
+The host-spread tables come from ``steady.py``.  Takes about three
+minutes.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -30,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import import_repro  # noqa: E402
 from layers import print_table  # noqa: E402
-from steady import load_benchmark, print_set, run_once, run_set  # noqa: E402
+from steady import load_benchmark, run_once  # noqa: E402
 
 SPEEDUP_PLATFORMS = ("hams-LE", "hams-TE", "nvdimm-C")
 #: The paper's headline: HAMS +97%, advanced HAMS +119% over mmap.
@@ -56,12 +53,8 @@ def speedups(scale) -> dict:
     return means
 
 
-def main(argv=None) -> int:
+def main() -> int:
     bench = load_benchmark()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--default-scale", action="store_true")
-    args = parser.parse_args(argv)
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
 
@@ -70,15 +63,11 @@ def main(argv=None) -> int:
         print_table(workload,
                     run_once(bench, workload, 1, seconds, trace=1)["metrics"])
 
-    print(f"\n== host spread ({args.runs} untraced runs per workload)")
-    print_set("spread", run_set(bench, workloads, args.runs, 1000, seconds))
-
     repro = import_repro()
     from workloads import FIG16_SCALE
     scales = {"fig16-cold scale": repro.ExperimentScale(seed=1,
-                                                        **FIG16_SCALE)}
-    if args.default_scale:
-        scales["default scale"] = repro.ExperimentScale()
+                                                        **FIG16_SCALE),
+              "default scale": repro.ExperimentScale()}
     print("\n== simulated speedup over mmap, 12 workloads "
           "(geometric mean / arithmetic mean)")
     for label, scale in scales.items():

@@ -194,12 +194,12 @@ def _end_to_end(workload, setup_s, rounds, rss_mb):
         accesses_per_s = median([r.accesses / r.wall_s for r in rounds])
         jobs_per_s = median([(r.attempted - r.failed) / r.wall_s
                              for r in rounds])
-    if len(jobs) >= 100:
-        p90 = percentile(jobs, 90)
-    else:
-        # The long replay workloads have ten jobs; their p90 is an
-        # interpolated order statistic near the slowest job, not a tail.
+    if workload.fixed_jobs and len(jobs) < 100:
+        # fault-long has ten fixed jobs; its p90 is an interpolated order
+        # statistic near the slowest job, not a tail.
         p90 = statistics.quantiles(jobs, n=10)[8]
+    else:
+        p90 = percentile(jobs, 90)
     return {
         "setup_s": metric(setup_s, "s"),
         "wall_s": metric(wall, "s"),
