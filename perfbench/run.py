@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -178,14 +179,21 @@ def _end_to_end(workload, setup_s, rounds, rss_mb):
     Replay workloads run the same jobs in the same order every round, so
     each job's latency is first reduced to its median across rounds; a
     burst of host contention then spoils one sample of a few jobs instead
-    of a whole round.  ``wall_s`` is the sum of those medians.  Serve
-    rounds overlap jobs, so there the round wall is the sample and the
-    job percentiles pool every job of the run.
+    of a whole round.  ``wall_s`` is the sum of those medians.  The jobs
+    are unlike (each a different platform and trace), so before the job
+    percentiles every sample is rescaled by the geometric mean of the job
+    medians over its own job's median: the pooled samples are then one
+    population, latencies of a job of typical size.  Serve rounds overlap
+    jobs, so there the round wall is the sample and the job percentiles
+    pool every job of the run.
     """
     if workload.fixed_jobs:
-        jobs = [median([r.job_ms[k] for r in rounds])
-                for k in range(len(rounds[0].job_ms))]
-        wall = sum(jobs) / 1e3
+        medians = [median([r.job_ms[k] for r in rounds])
+                   for k in range(len(rounds[0].job_ms))]
+        typical = math.exp(statistics.fmean(map(math.log, medians)))
+        jobs = [r.job_ms[k] * typical / medians[k]
+                for r in rounds for k in range(len(medians))]
+        wall = sum(medians) / 1e3
         accesses_per_s = rounds[0].accesses / wall
         jobs_per_s = rounds[0].attempted / wall
     else:
@@ -194,12 +202,6 @@ def _end_to_end(workload, setup_s, rounds, rss_mb):
         accesses_per_s = median([r.accesses / r.wall_s for r in rounds])
         jobs_per_s = median([(r.attempted - r.failed) / r.wall_s
                              for r in rounds])
-    if workload.fixed_jobs and len(jobs) < 100:
-        # fault-long has ten fixed jobs; its p90 is an interpolated order
-        # statistic near the slowest job, not a tail.
-        p90 = statistics.quantiles(jobs, n=10)[8]
-    else:
-        p90 = percentile(jobs, 90)
     return {
         "setup_s": metric(setup_s, "s"),
         "wall_s": metric(wall, "s"),
@@ -207,7 +209,7 @@ def _end_to_end(workload, setup_s, rounds, rss_mb):
         "peak_rss_mb": metric(rss_mb, "MB"),
         "jobs_per_s": metric(jobs_per_s, "1/s"),
         "job_p50_ms": metric(median(jobs), "ms"),
-        "job_p90_ms": metric(p90, "ms"),
+        "job_p90_ms": metric(percentile(jobs, 90), "ms"),
     }
 
 
